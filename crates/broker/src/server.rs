@@ -286,9 +286,9 @@ pub(crate) struct Shared {
     pub(crate) clients: RwLock<Vec<(String, Hist)>>,
     pub(crate) cache: VerifyCache,
     /// Composed products for the compositional engine, one per
-    /// distinct client behaviour; fingerprint-validated against the
-    /// live repository/registry on every query, so mutations need no
-    /// explicit product invalidation.
+    /// distinct client behaviour; stamp-validated against the live
+    /// repository/registry on every query (fingerprint-diffed when a
+    /// stamp moved), so mutations need no explicit product invalidation.
     pub(crate) products: ProductStore,
     /// The incremental lint engine behind the `lint` command and the
     /// `--deny-lint` gate.
@@ -1299,7 +1299,7 @@ fn cmd_plan(request: &Json, shared: &Shared) -> Json {
             // The production fast path: first k valid plans plus the
             // total count read straight off the resident product,
             // without materialising the full verdict map — per-query
-            // cost independent of the plan-space width.
+            // cost independent of the plan-space and repository widths.
             let read = shared.products.read_valid(
                 &client,
                 &repo,

@@ -24,19 +24,32 @@
 //!
 //! # Incremental maintenance
 //!
-//! The product is fingerprint-addressed with the same `shash` idiom as
-//! the incremental lint engine: it stores a per-location fingerprint of
-//! `(service behaviour, capacity)` and one fingerprint of the policy
-//! registry. On the next query after a `publish`/`retract`/
-//! `retract_policy`, only the regions whose fingerprints changed are
-//! recomputed — edges touching changed locations, plus the verdicts of
-//! surviving plans that bind a changed location. Verdicts of plans
-//! whose bound locations are untouched are *reused* (sound for the same
-//! reason [`VerifyCache::invalidate_location`] is selective: security
-//! and progress consult the repository only at the locations a plan
-//! binds). A patched product is byte-identical to a cold rebuild: both
-//! paths run the same deterministic checks over the same inputs and
-//! store results in plan-sorted maps.
+//! Freshness is checked in two steps. First, **content stamps**: the
+//! [`Repository`] and the [`PolicyRegistry`] each carry a stamp drawn
+//! from one process-global counter on every content-changing mutation
+//! and copied by `Clone`, so equal stamps imply equal content. A query
+//! whose `(repository, registry)` stamps equal the ones the product
+//! recorded is a pure read-off: no fingerprint is computed, and the
+//! admissible/total edge counts and the valid-plan list are read from
+//! values stored at build/patch time. The work per unchanged-state
+//! query is independent of the repository width, the registry size and
+//! the plan-space width.
+//!
+//! Second, on a stamp miss, **fingerprints** locate what changed, with
+//! the same `shash` idiom as the incremental lint engine: the product
+//! stores a per-location fingerprint of `(service behaviour, capacity)`
+//! — taken once by the repository when it inserts the service and
+//! copied from there — and one fingerprint of the policy registry. Only
+//! a side whose stamp moved is diffed, and only the regions whose
+//! fingerprints changed are recomputed — edges touching changed
+//! locations, plus the verdicts of surviving plans that bind a changed
+//! location — so a re-publish of an identical service is still a read.
+//! Verdicts of plans whose bound locations are untouched are *reused*
+//! (sound for the same reason [`VerifyCache::invalidate_location`] is
+//! selective: security and progress consult the repository only at the
+//! locations a plan binds). A patched product is byte-identical to a
+//! cold rebuild: both paths run the same deterministic checks over the
+//! same inputs and store results in plan-sorted maps.
 //!
 //! # Equivalence with the enumerative engines
 //!
@@ -100,36 +113,21 @@ pub struct ProductStats {
     pub entries: usize,
 }
 
-/// The per-location fingerprint the product diffs against: behaviour
-/// and capacity together, since both influence verdicts.
-fn location_fp(service: &Hist, capacity: Option<usize>) -> u64 {
-    stable_hash_of(&(service, capacity.map(|c| c as u64)))
-}
-
-/// The repository signature: one fingerprint per published location.
+/// The repository signature: the stored `(service, capacity)`
+/// fingerprint of every published location.
 fn repo_signature(repo: &Repository) -> BTreeMap<Location, u64> {
-    repo.iter()
-        .map(|(loc, service)| {
-            let capacity = repo.capacity(loc).flatten();
-            (loc.clone(), location_fp(service, capacity))
-        })
+    repo.fingerprints()
+        .map(|(loc, fp)| (loc.clone(), fp))
         .collect()
-}
-
-/// One fingerprint of the whole policy registry (same idiom as the
-/// incremental lint engine): verdicts depend on it through every policy
-/// the composition can activate.
-fn registry_fingerprint(registry: &PolicyRegistry) -> u64 {
-    let parts: Vec<u64> = registry
-        .iter()
-        .map(|a| stable_hash_of(&format!("{a:?}")))
-        .collect();
-    stable_hash_of(&parts)
 }
 
 /// The composed product for one client over one repository state.
 #[derive(Debug, Clone)]
 struct Product {
+    /// Content stamps of the repository and registry the product is
+    /// current for: equal stamps imply equal content.
+    repo_stamp: u64,
+    registry_stamp: u64,
     /// Fingerprint of `(service, capacity)` per location at build time.
     repo_sig: BTreeMap<Location, u64>,
     /// Fingerprint of the policy registry at build time.
@@ -144,18 +142,29 @@ struct Product {
     verdicts: BTreeMap<Plan, PlanVerdict>,
     /// Subtrees cut while enumerating the surviving set.
     pruned_subtrees: usize,
+    /// Admissible `(request, location)` edges, counted at build/patch.
+    admissible_edges: usize,
+    /// All `(request, location)` edges, counted at build/patch.
+    total_edges: usize,
+    /// The valid plans, in plan order, collected at build/patch.
+    valid: Vec<Plan>,
 }
 
 impl Product {
-    fn admissible_edges(&self) -> usize {
-        self.edges
+    /// Recomputes the counts and the valid list a query reads off.
+    fn recount(&mut self) {
+        self.admissible_edges = self
+            .edges
             .values()
             .map(|row| row.values().filter(|a| **a).count())
-            .sum()
-    }
-
-    fn total_edges(&self) -> usize {
-        self.edges.values().map(BTreeMap::len).sum()
+            .sum();
+        self.total_edges = self.edges.values().map(BTreeMap::len).sum();
+        self.valid = self
+            .verdicts
+            .values()
+            .filter(|v| v.is_valid())
+            .map(|v| v.plan.clone())
+            .collect();
     }
 }
 
@@ -239,19 +248,32 @@ fn build_product(
         )?;
         verdicts.insert(plan, verdict);
     }
-    Ok(Product {
+    let mut product = Product {
+        repo_stamp: repo.stamp(),
+        registry_stamp: registry.stamp(),
         repo_sig: repo_signature(repo),
-        registry_fp: registry_fingerprint(registry),
+        registry_fp: registry.fingerprint(),
         bodies,
         edges,
         verdicts,
         pruned_subtrees,
-    })
+        admissible_edges: 0,
+        total_edges: 0,
+        valid: Vec::new(),
+    };
+    product.recount();
+    Ok(product)
 }
 
 /// Patches `product` to the current `(repo, registry)` state, repairing
 /// only the regions whose fingerprints changed. Returns the number of
 /// repaired regions (0 = the product was already current).
+///
+/// Equal content stamps answer "nothing changed" without touching a
+/// fingerprint; only a side whose stamp moved is diffed, and the diff
+/// (not the stamp) decides what is repaired, so a re-publish of the
+/// same service patches nothing. On error the product is left as it
+/// was, still recording the state it is current for.
 fn patch_product(
     product: &mut Product,
     client: &Hist,
@@ -260,28 +282,39 @@ fn patch_product(
     cap: usize,
     cache: Option<&VerifyCache>,
 ) -> Result<usize, VerifyError> {
-    let new_sig = repo_signature(repo);
-    let new_registry_fp = registry_fingerprint(registry);
-    let changed: BTreeSet<Location> = product
-        .repo_sig
-        .iter()
-        .filter(|(loc, fp)| new_sig.get(*loc) != Some(fp))
-        .map(|(loc, _)| loc.clone())
-        .chain(
-            new_sig
-                .keys()
-                .filter(|loc| !product.repo_sig.contains_key(*loc))
-                .cloned(),
-        )
-        .collect();
-    let registry_changed = new_registry_fp != product.registry_fp;
+    if (repo.stamp(), registry.stamp()) == (product.repo_stamp, product.registry_stamp) {
+        return Ok(0);
+    }
+    let new_sig = (repo.stamp() != product.repo_stamp).then(|| repo_signature(repo));
+    let changed: BTreeSet<Location> = match &new_sig {
+        Some(new_sig) => product
+            .repo_sig
+            .iter()
+            .filter(|(loc, fp)| new_sig.get(*loc) != Some(fp))
+            .map(|(loc, _)| loc.clone())
+            .chain(
+                new_sig
+                    .keys()
+                    .filter(|loc| !product.repo_sig.contains_key(*loc))
+                    .cloned(),
+            )
+            .collect(),
+        None => BTreeSet::new(),
+    };
+    let new_registry_fp =
+        (registry.stamp() != product.registry_stamp).then(|| registry.fingerprint());
+    let registry_changed = new_registry_fp.is_some_and(|fp| fp != product.registry_fp);
     if changed.is_empty() && !registry_changed {
+        product.repo_stamp = repo.stamp();
+        product.registry_stamp = registry.stamp();
         return Ok(0);
     }
 
-    if !changed.is_empty() {
+    // The repaired `(bodies, edges)`, committed only once every check
+    // below has succeeded.
+    let repaired = (!changed.is_empty()).then(|| {
         let bodies = prune_safe_bodies(client, repo);
-        match (&product.bodies, &bodies) {
+        let edges = match (&product.bodies, &bodies) {
             (Some(old), Some(new)) => {
                 // Requests whose committed body changed (or that are new)
                 // re-check every location; stable requests re-check only
@@ -292,9 +325,7 @@ fn patch_product(
                         (Some(old_body), Some(old_row)) if old_body == body => {
                             let mut row: BTreeMap<Location, bool> = old_row
                                 .iter()
-                                .filter(|(loc, _)| {
-                                    !changed.contains(*loc) && new_sig.contains_key(*loc)
-                                })
+                                .filter(|(loc, _)| !changed.contains(*loc))
                                 .map(|(loc, a)| (loc.clone(), *a))
                                 .collect();
                             let touched = repo.iter().filter(|(loc, _)| changed.contains(*loc));
@@ -305,25 +336,22 @@ fn patch_product(
                     };
                     edges.insert(*r, row);
                 }
-                product.edges = edges;
+                edges
             }
-            (_, Some(new)) => {
-                // The product previously ran unpruned; rebuild the whole
-                // edge relation.
-                product.edges = new
-                    .iter()
-                    .map(|(r, body)| (*r, edge_row(body, repo.iter(), cache)))
-                    .collect();
-            }
-            (_, None) => {
-                // Bodies became ambiguous: pruning is off from here on.
-                product.edges = BTreeMap::new();
-            }
-        }
-        product.bodies = bodies;
-    }
+            // The product previously ran unpruned; rebuild the whole
+            // edge relation.
+            (_, Some(new)) => new
+                .iter()
+                .map(|(r, body)| (*r, edge_row(body, repo.iter(), cache)))
+                .collect(),
+            // Bodies became ambiguous: pruning is off from here on.
+            (_, None) => BTreeMap::new(),
+        };
+        (bodies, edges)
+    });
+    let edges = repaired.as_ref().map_or(&product.edges, |(_, edges)| edges);
 
-    let (surviving, pruned_subtrees) = surviving_plans(client, repo, &product.edges, cap)?;
+    let (surviving, pruned_subtrees) = surviving_plans(client, repo, edges, cap)?;
     let comp = cache.map(|c| c.intern(client));
     let memo = ComplianceMemo::new();
     let mut verdicts = BTreeMap::new();
@@ -344,10 +372,21 @@ fn patch_product(
         };
         verdicts.insert(plan, verdict);
     }
+    if let Some((bodies, edges)) = repaired {
+        product.bodies = bodies;
+        product.edges = edges;
+    }
     product.verdicts = verdicts;
     product.pruned_subtrees = pruned_subtrees;
-    product.repo_sig = new_sig;
-    product.registry_fp = new_registry_fp;
+    if let Some(sig) = new_sig {
+        product.repo_sig = sig;
+    }
+    if let Some(fp) = new_registry_fp {
+        product.registry_fp = fp;
+    }
+    product.repo_stamp = repo.stamp();
+    product.registry_stamp = registry.stamp();
+    product.recount();
     Ok(changed.len() + usize::from(registry_changed))
 }
 
@@ -374,8 +413,10 @@ pub const DEFAULT_STORE_CAPACITY: usize = 64;
 /// work. When used with a shared [`VerifyCache`], the caller keeps the
 /// cache sound exactly as for [`crate::verify::synthesize_with`]
 /// (invalidate on every repository/registry mutation); the product
-/// itself needs no invalidation calls — it re-validates against the
-/// current fingerprints on every query.
+/// itself needs no invalidation calls — every query compares the
+/// repository's and registry's content stamps with the ones the product
+/// recorded, and diffs fingerprints only when a stamp moved (see the
+/// module docs).
 #[derive(Debug)]
 pub struct ProductStore {
     entries: Mutex<Vec<Entry>>,
@@ -453,7 +494,7 @@ impl ProductStore {
 
     /// Compositional synthesis: answers from the resident product for
     /// `client`, building or patching it first if the repository or
-    /// registry fingerprints moved. Report-equivalent to the pruned
+    /// registry content moved. Report-equivalent to the pruned
     /// enumerative engine (see the module docs for the exact spec).
     ///
     /// # Errors
@@ -497,24 +538,14 @@ impl ProductStore {
     ) -> Result<(Vec<Plan>, usize, SynthStats), VerifyError> {
         let ((valid, total), stats) =
             self.with_entry(client, repo, registry, opts, shared, |p| {
-                let mut valid = Vec::with_capacity(k.min(8));
-                let mut total = 0usize;
-                for v in p.verdicts.values() {
-                    if v.is_valid() {
-                        if valid.len() < k {
-                            valid.push(v.plan.clone());
-                        }
-                        total += 1;
-                    }
-                }
-                (valid, total)
+                (p.valid.iter().take(k).cloned().collect(), p.valid.len())
             })?;
         Ok((valid, total, stats))
     }
 
     /// Shared maintenance path: locate (or build) the resident product
-    /// for `client`, patch it if the repository or registry
-    /// fingerprints moved, and hand it to `read` under the store lock.
+    /// for `client`, patch it if the repository or registry content
+    /// moved, and hand it to `read` under the store lock.
     fn with_entry<T>(
         &self,
         client: &Hist,
@@ -588,8 +619,8 @@ impl ProductStore {
             }
         };
 
-        info.admissible_edges = entry.product.admissible_edges();
-        info.total_edges = entry.product.total_edges();
+        info.admissible_edges = entry.product.admissible_edges;
+        info.total_edges = entry.product.total_edges;
         let candidates = entry.product.verdicts.len();
         let pruned_subtrees = entry.product.pruned_subtrees;
         let prune_active = entry.product.bodies.is_some();
@@ -766,6 +797,148 @@ mod tests {
             .synthesize(&client, &repo, &registry, &opts, None)
             .unwrap();
         assert_eq!(cold.report.verdicts(), patched.report.verdicts());
+    }
+
+    fn cold(client: &Hist, repo: &Repository, registry: &PolicyRegistry) -> Synthesis {
+        ProductStore::new()
+            .synthesize(client, repo, registry, &SynthesisOptions::default(), None)
+            .unwrap()
+    }
+
+    #[test]
+    fn unrelated_repository_with_as_many_mutations_is_not_aliased() {
+        // Two repositories built apart, each by four publishes: a
+        // per-instance mutation counter would give them equal stamps.
+        let client = client2();
+        let registry = PolicyRegistry::new();
+        let opts = SynthesisOptions::default();
+        let a = mixed_repo();
+        let mut b = Repository::new();
+        for i in 0..4 {
+            b.publish(format!("good{i}"), recv("q", choose([("a", eps())])));
+        }
+        let store = ProductStore::new();
+        store
+            .synthesize(&client, &a, &registry, &opts, None)
+            .unwrap();
+        let on_b = store
+            .synthesize(&client, &b, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(on_b.report.len(), 16);
+        assert_eq!(
+            on_b.report.verdicts(),
+            cold(&client, &b, &registry).report.verdicts()
+        );
+        let (valid, total, _) = store
+            .read_valid(&client, &b, &registry, &opts, None, 1)
+            .unwrap();
+        assert_eq!(total, 16);
+        assert_eq!(valid.len(), 1);
+    }
+
+    #[test]
+    fn rollback_to_a_saved_clone_reads_the_restored_state() {
+        let client = client2();
+        let mut repo = mixed_repo();
+        let registry = PolicyRegistry::new();
+        let opts = SynthesisOptions::default();
+        let store = ProductStore::new();
+        store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        let saved = repo.clone();
+        repo.publish("good2", recv("q", choose([("a", eps())])));
+        store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        // The rollback a refused mutation performs: the saved clone
+        // carries its own stamp back with its content.
+        repo = saved;
+        let restored = store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(
+            restored.report.verdicts(),
+            cold(&client, &repo, &registry).report.verdicts()
+        );
+        let patches = store.stats().patches;
+        let again = store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(again.report.verdicts(), restored.report.verdicts());
+        assert_eq!(store.stats().patches, patches);
+
+        // Mutate and roll back with no query in between: the product
+        // never left the restored stamp, so this is a read.
+        let saved = repo.clone();
+        repo.retract(&Location::new("good0"));
+        repo = saved;
+        let reads = store.stats().reads;
+        store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(store.stats().patches, patches);
+        assert_eq!(store.stats().reads, reads + 1);
+    }
+
+    #[test]
+    fn identical_republish_and_reregister_are_reads() {
+        let client = client2();
+        let mut repo = mixed_repo();
+        let mut registry = PolicyRegistry::with_catalog();
+        let opts = SynthesisOptions::default();
+        let store = ProductStore::new();
+        store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        // New stamps, same content: the fingerprint diff finds nothing.
+        repo.publish("good0", recv("q", choose([("a", eps())])));
+        registry.register(sufs_policy::catalog::hotel_policy());
+        let again = store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(again.stats.product.unwrap().patched, 0);
+        // A real registry change is one repaired region.
+        registry.remove("hotel");
+        let patched = store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(patched.stats.product.unwrap().patched, 1);
+        let stats = store.stats();
+        assert_eq!((stats.builds, stats.patches, stats.reads), (1, 1, 1));
+    }
+
+    #[test]
+    fn failed_patch_leaves_the_product_at_its_recorded_state() {
+        let client = client2();
+        let mut repo = mixed_repo();
+        let registry = PolicyRegistry::new();
+        let opts = SynthesisOptions {
+            plan_cap: 4, // exactly the 2² survivors of mixed_repo
+            ..SynthesisOptions::default()
+        };
+        let store = ProductStore::new();
+        store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        repo.publish("good2", recv("q", choose([("a", eps())])));
+        let err = store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap_err();
+        assert!(matches!(err, VerifyError::PlanSpace(_)));
+        // Back to the original content under a new stamp: the product
+        // still describes that content, so nothing is repaired.
+        repo.retract(&Location::new("good2"));
+        let back = store
+            .synthesize(&client, &repo, &registry, &opts, None)
+            .unwrap();
+        assert_eq!(back.stats.product.unwrap().patched, 0);
+        assert_eq!(
+            back.report.verdicts(),
+            cold(&client, &repo, &registry).report.verdicts()
+        );
+        let info = back.stats.product.unwrap();
+        assert_eq!((info.admissible_edges, info.total_edges), (4, 8));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! correctness.
 
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A deterministic 64-bit FNV-1a hasher.
 ///
@@ -78,6 +79,24 @@ pub fn stable_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
+/// The process-wide source of content stamps.
+static STAMPS: AtomicU64 = AtomicU64::new(0);
+
+/// Draws a fresh content stamp: a value no earlier call in this process
+/// returned, and never 0.
+///
+/// A mutable container (the service repository, the policy registry)
+/// takes a fresh stamp on every content-changing mutation and copies it
+/// on `Clone`. Two values carrying the same stamp therefore hold the same
+/// content, which lets a consumer that recorded a stamp skip re-deriving
+/// anything from the content while the stamp is unchanged. The counter
+/// is global, not per instance, so two independently built values can
+/// never share a stamp; 0 is left to values never mutated, which are
+/// empty.
+pub fn fresh_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed) + 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,5 +128,13 @@ mod tests {
         let mut h = StableHasher::new();
         h.write(b"a");
         assert_eq!(h.state, 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn fresh_stamps_are_distinct_and_nonzero() {
+        let a = fresh_stamp();
+        let b = fresh_stamp();
+        assert_ne!(a, 0);
+        assert!(b > a);
     }
 }

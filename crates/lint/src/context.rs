@@ -403,14 +403,7 @@ impl<'a> LintContext<'a> {
 
         // One fingerprint of the whole registry: verdicts depend on it
         // through every policy the composition can activate.
-        let registry_fp = {
-            let parts: Vec<u64> = input
-                .registry
-                .iter()
-                .map(|a| stable_hash_of(&format!("{a:?}")))
-                .collect();
-            stable_hash_of(&parts)
-        };
+        let registry_fp = input.registry.fingerprint();
 
         let mut clients = Vec::new();
         let mut key_buf: Vec<u64> = Vec::new();

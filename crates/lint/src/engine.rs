@@ -60,12 +60,8 @@ impl Fingerprints {
             fp.capacities.insert(loc.clone(), cap);
         }
         for automaton in input.registry.iter() {
-            // `UsageAutomaton` has no `Hash`, but its `Debug` rendering
-            // is a pure function of its (all-`String`/`Vec`) fields.
-            fp.policies.insert(
-                automaton.name().to_string(),
-                stable_hash_of(&format!("{automaton:?}")),
-            );
+            fp.policies
+                .insert(automaton.name().to_string(), automaton.fingerprint());
         }
         fp.budgets = stable_hash_of(&format!("{:?}", input.budgets));
         fp

@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use sufs_hexpr::shash::{fresh_stamp, stable_hash_of};
 use sufs_hexpr::wf::{self, WfError};
 use sufs_hexpr::{Hist, Location};
 
@@ -28,11 +29,13 @@ impl fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// One published service: its behaviour and its replication capacity.
+/// One published service: its behaviour, its replication capacity, and
+/// the fingerprint of both, taken once at insertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Published {
     service: Hist,
     capacity: Option<usize>,
+    fingerprint: u64,
 }
 
 /// A repository mutation, as observed by callers that need to react to
@@ -87,10 +90,22 @@ impl fmt::Display for RepoEvent {
 /// availability* as an extension; [`Repository::publish_bounded`]
 /// implements it — a service with capacity `n` joins at most `n`
 /// concurrent sessions, and further openings wait until one closes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Every content-changing mutation draws a fresh content stamp
+/// ([`Repository::stamp`]); equality compares content only.
+#[derive(Debug, Clone, Default)]
 pub struct Repository {
     services: BTreeMap<Location, Published>,
+    stamp: u64,
 }
+
+impl PartialEq for Repository {
+    fn eq(&self, other: &Self) -> bool {
+        self.services == other.services
+    }
+}
+
+impl Eq for Repository {}
 
 impl Repository {
     /// Creates an empty repository.
@@ -173,9 +188,14 @@ impl Repository {
             location: location.clone(),
             error,
         })?;
-        let previous = self
-            .services
-            .insert(location.clone(), Published { service, capacity });
+        let fingerprint = stable_hash_of(&(&service, capacity.map(|c| c as u64)));
+        let published = Published {
+            service,
+            capacity,
+            fingerprint,
+        };
+        let previous = self.services.insert(location.clone(), published);
+        self.stamp = fresh_stamp();
         Ok(match previous {
             Some(_) => RepoEvent::Updated(location),
             None => RepoEvent::Published(location),
@@ -187,7 +207,10 @@ impl Repository {
     /// the location just stops being available for *new* openings.
     pub fn retract(&mut self, loc: &Location) -> RepoEvent {
         match self.services.remove(loc) {
-            Some(_) => RepoEvent::Retracted(loc.clone()),
+            Some(_) => {
+                self.stamp = fresh_stamp();
+                RepoEvent::Retracted(loc.clone())
+            }
             None => RepoEvent::Absent(loc.clone()),
         }
     }
@@ -240,6 +263,24 @@ impl Repository {
         capacity: Option<usize>,
     ) -> Result<RepoEvent, PublishError> {
         self.insert_checked(loc.into(), service, capacity)
+    }
+
+    /// The fingerprint of each published `(service, capacity)` pair, in
+    /// location order. Taken once when the service is inserted, so
+    /// reading it costs no hashing.
+    pub fn fingerprints(&self) -> impl Iterator<Item = (&Location, u64)> {
+        self.services.iter().map(|(l, p)| (l, p.fingerprint))
+    }
+
+    /// The content stamp: drawn afresh (see
+    /// [`sufs_hexpr::shash::fresh_stamp`]) by every mutation that
+    /// changes the published state, and copied by `Clone`. Two
+    /// repositories with equal stamps hold equal content, so a consumer
+    /// that recorded the stamp may skip re-deriving anything from the
+    /// content while it is unchanged. An `Absent` retract or a rejected
+    /// publish leaves it alone; a never-mutated repository has stamp 0.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// The number of published services.
@@ -343,6 +384,78 @@ mod tests {
         assert_eq!(err.location, Location::new("bad"));
         // The failed publish left the repository untouched.
         assert_eq!(repo.len(), 1);
+    }
+
+    #[test]
+    fn clone_keeps_the_stamp_and_mutations_diverge_it() {
+        let mut a = Repository::new();
+        a.publish("s", parse_hist("eps").unwrap());
+        let mut b = a.clone();
+        assert_eq!(a.stamp(), b.stamp());
+        b.publish("t", parse_hist("eps").unwrap());
+        assert_ne!(a.stamp(), b.stamp());
+        let c = a.clone();
+        a.retract(&Location::new("s"));
+        assert_ne!(a.stamp(), c.stamp());
+        assert_ne!(a.stamp(), b.stamp());
+    }
+
+    #[test]
+    fn no_op_mutations_keep_the_stamp() {
+        let mut repo = Repository::new();
+        assert_eq!(repo.stamp(), 0);
+        repo.publish("s", parse_hist("eps").unwrap());
+        let stamp = repo.stamp();
+        assert_ne!(stamp, 0);
+        assert!(!repo.retract(&Location::new("ghost")).changed());
+        assert_eq!(repo.stamp(), stamp);
+        assert!(repo
+            .try_publish("bad", parse_hist("mu h. h").unwrap())
+            .is_err());
+        assert!(repo
+            .try_publish_bounded("s", parse_hist("mu h. h").unwrap(), 1)
+            .is_err());
+        assert_eq!(repo.stamp(), stamp);
+    }
+
+    #[test]
+    fn equal_content_built_apart_compares_equal_with_distinct_stamps() {
+        let build = || {
+            let mut repo = Repository::new();
+            repo.publish("s", parse_hist("ext[a -> eps]").unwrap());
+            repo.publish_bounded("t", parse_hist("eps").unwrap(), 2);
+            repo
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(a, b);
+        assert_ne!(a.stamp(), b.stamp());
+        assert!(a.fingerprints().eq(b.fingerprints()));
+    }
+
+    #[test]
+    fn mutations_on_different_instances_never_share_a_stamp() {
+        // A per-instance counter would hand every repository the same
+        // sequence 1, 2, 3, …; the global one never repeats.
+        let mut repos = vec![Repository::new(), Repository::new(), Repository::new()];
+        let mut seen = std::collections::BTreeSet::new();
+        for round in 0..4 {
+            for repo in &mut repos {
+                repo.publish(format!("s{round}"), parse_hist("eps").unwrap());
+                assert!(seen.insert(repo.stamp()), "stamp reused");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprints_cover_behaviour_and_capacity() {
+        let mut repo = Repository::new();
+        repo.publish("s", parse_hist("eps").unwrap());
+        let unbounded: Vec<u64> = repo.fingerprints().map(|(_, fp)| fp).collect();
+        repo.publish_bounded("s", parse_hist("eps").unwrap(), 1);
+        let bounded: Vec<u64> = repo.fingerprints().map(|(_, fp)| fp).collect();
+        assert_ne!(unbounded, bounded);
+        repo.publish("s", parse_hist("eps").unwrap());
+        assert!(repo.fingerprints().map(|(_, fp)| fp).eq(unbounded));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::fmt;
 
 use crate::instance::{InstantiationError, PolicyInstance};
 use crate::usage::UsageAutomaton;
+use sufs_hexpr::shash::{fresh_stamp, stable_hash_of};
 use sufs_hexpr::PolicyRef;
 
 /// An error raised when resolving a [`PolicyRef`].
@@ -51,10 +52,22 @@ impl From<InstantiationError> for PolicyError {
 /// assert_eq!(inst.reference(), &phi);
 /// # Ok::<(), sufs_policy::registry::PolicyError>(())
 /// ```
+///
+/// Every content-changing mutation draws a fresh content stamp
+/// ([`PolicyRegistry::stamp`]); equality compares content only.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyRegistry {
     automata: BTreeMap<String, UsageAutomaton>,
+    stamp: u64,
 }
+
+impl PartialEq for PolicyRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.automata == other.automata
+    }
+}
+
+impl Eq for PolicyRegistry {}
 
 impl PolicyRegistry {
     /// Creates an empty registry.
@@ -75,6 +88,7 @@ impl PolicyRegistry {
     /// Registers an automaton under its own name, replacing any previous
     /// automaton with that name (the old one is returned).
     pub fn register(&mut self, automaton: UsageAutomaton) -> Option<UsageAutomaton> {
+        self.stamp = fresh_stamp();
         self.automata.insert(automaton.name().to_owned(), automaton)
     }
 
@@ -87,7 +101,28 @@ impl PolicyRegistry {
     /// registered. Histories referencing a removed policy fail to
     /// resolve from then on, exactly like any other unknown policy.
     pub fn remove(&mut self, name: &str) -> Option<UsageAutomaton> {
-        self.automata.remove(name)
+        let removed = self.automata.remove(name);
+        if removed.is_some() {
+            self.stamp = fresh_stamp();
+        }
+        removed
+    }
+
+    /// The content stamp: drawn afresh (see
+    /// [`sufs_hexpr::shash::fresh_stamp`]) by every `register` and every
+    /// `remove` of a registered name, and copied by `Clone`. Two
+    /// registries with equal stamps hold equal automata; a never-mutated
+    /// registry has stamp 0.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// One structural fingerprint of every registered automaton (see
+    /// [`UsageAutomaton::fingerprint`]): equal registries have equal
+    /// fingerprints, in every run.
+    pub fn fingerprint(&self) -> u64 {
+        let parts: Vec<u64> = self.iter().map(UsageAutomaton::fingerprint).collect();
+        stable_hash_of(&parts)
     }
 
     /// The number of registered automata.
@@ -138,6 +173,60 @@ mod tests {
         assert!(reg.register(catalog::hotel_policy()).is_some());
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.iter().count(), 1);
+    }
+
+    #[test]
+    fn clone_keeps_the_stamp_and_mutations_diverge_it() {
+        let mut a = PolicyRegistry::new();
+        a.register(catalog::hotel_policy());
+        let mut b = a.clone();
+        assert_eq!(a.stamp(), b.stamp());
+        b.register(catalog::no_after("read", "write"));
+        assert_ne!(a.stamp(), b.stamp());
+        let c = a.clone();
+        assert!(a.remove("hotel").is_some());
+        assert_ne!(a.stamp(), c.stamp());
+        assert_ne!(a.stamp(), b.stamp());
+    }
+
+    #[test]
+    fn removing_an_unknown_name_keeps_the_stamp() {
+        let mut reg = PolicyRegistry::new();
+        assert_eq!(reg.stamp(), 0);
+        reg.register(catalog::hotel_policy());
+        let stamp = reg.stamp();
+        assert_ne!(stamp, 0);
+        assert!(reg.remove("ghost").is_none());
+        assert_eq!(reg.stamp(), stamp);
+    }
+
+    #[test]
+    fn equal_content_built_apart_compares_equal_with_distinct_stamps() {
+        let (a, b) = (
+            PolicyRegistry::with_catalog(),
+            PolicyRegistry::with_catalog(),
+        );
+        assert_eq!(a, b);
+        assert_ne!(a.stamp(), b.stamp());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let mut c = a.clone();
+        c.remove("hotel");
+        assert_ne!(a, c);
+        assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn mutations_on_different_instances_never_share_a_stamp() {
+        // A per-instance counter would hand every registry the same
+        // sequence 1, 2, 3, …; the global one never repeats.
+        let mut regs = vec![PolicyRegistry::new(), PolicyRegistry::new()];
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..3 {
+            for reg in &mut regs {
+                reg.register(catalog::hotel_policy());
+                assert!(seen.insert(reg.stamp()), "stamp reused");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::fmt;
 
 use crate::guard::Guard;
+use sufs_hexpr::shash::stable_hash_of;
 use sufs_hexpr::EventName;
 
 /// A named state of a usage automaton.
@@ -185,6 +186,14 @@ impl UsageBuilder {
 }
 
 impl UsageAutomaton {
+    /// A structural fingerprint of the automaton: equal automata have
+    /// equal fingerprints, in every run. `UsageAutomaton` has no `Hash`,
+    /// but its `Debug` rendering is a pure function of its
+    /// (all-`String`/`Vec`) fields.
+    pub fn fingerprint(&self) -> u64 {
+        stable_hash_of(&format!("{self:?}"))
+    }
+
     /// The policy name.
     pub fn name(&self) -> &str {
         &self.name
